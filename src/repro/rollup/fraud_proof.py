@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from ..crypto import MerkleTree, MerkleTrie, TrieProof, hash_value
+from ..crypto import MerkleTrie, TrieProof, hash_value
 from ..telemetry import get_metrics
 from .ovm import OVM
 from .state import L2State
@@ -25,15 +25,13 @@ def state_root(state: L2State) -> str:
 
     Leaves are the sorted balance entries, the sorted inventory entries
     and the remaining supply, so two states with identical contents hash
-    identically regardless of insertion order.
+    identically regardless of insertion order — per exact encoding:
+    ``0.0`` and ``-0.0`` balances encode, and so hash, differently.  The
+    root equals ``MerkleTree(leaves).root``; the state lineage's
+    :class:`~repro.rollup.commitment.StateCommitment` only skips
+    recomputing digests it has already seen.
     """
-    balances, inventory, remaining = state.canonical_items()
-    leaves = [
-        ["balance", user, amount] for user, amount in balances
-    ] + [
-        ["inventory", user, count] for user, count in inventory
-    ] + [["supply", remaining]]
-    return MerkleTree(leaves).root
+    return state.commitment.root(state.canonical_items())
 
 
 @dataclass(frozen=True)

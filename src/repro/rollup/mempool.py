@@ -147,11 +147,24 @@ class BedrockMempool:
     def peek(self, count: int) -> Tuple[NFTTransaction, ...]:
         """The next ``count`` transactions in priority order (no removal).
 
-        Exactly the prefix ``collect(count)`` would return.
+        Exactly the prefix ``collect(count)`` would return.  Reads the
+        lazy heap best-first — a node's children enter the frontier only
+        once the node itself is taken — so the cost is O(count log count)
+        plus any stale entries on the way, not a pass over every pending
+        transaction.
         """
-        return tuple(
-            heapq.nsmallest(count, self._pending.values(), key=self._priority)
-        )
+        heap = self._heap
+        selected: List[NFTTransaction] = []
+        frontier = [(heap[0], 0)] if heap else []
+        while frontier and len(selected) < count:
+            entry, index = heapq.heappop(frontier)
+            tx_hash = entry[4]
+            if self._order.get(tx_hash) == entry[3]:
+                selected.append(self._pending[tx_hash])
+            for child in (2 * index + 1, 2 * index + 2):
+                if child < len(heap):
+                    heapq.heappush(frontier, (heap[child], child))
+        return tuple(selected)
 
     def collect(self, count: int) -> Tuple[NFTTransaction, ...]:
         """Remove and return the top ``count`` transactions by fee priority.

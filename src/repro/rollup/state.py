@@ -27,6 +27,7 @@ from typing import Dict, Mapping, Optional, Tuple
 from ..config import NFTContractConfig
 from ..errors import InvalidTransactionError
 from ..tokens import ScarcityPricing, TxValidity
+from .commitment import StateCommitment
 from .transaction import NFTTransaction, TxKind
 
 
@@ -116,6 +117,11 @@ class CountingInventory(Dict[str, int]):
     def copy(self) -> "CountingInventory":
         return CountingInventory(dict.copy(self))
 
+    def __reduce__(self):
+        # Default unpickling restores the items through ``__setitem__``
+        # before the slot counters exist; rebuild through ``__init__``.
+        return (CountingInventory, (dict(self),))
+
 
 class L2State:
     """Mutable L2 chain state: balances, inventories, supply and price."""
@@ -154,6 +160,7 @@ class L2State:
         #: balance dynamics (and the case studies) ignore fees, so this
         #: defaults off; the timed deployment and economics tests use it.
         self.charge_fees = charge_fees
+        self._commitment = StateCommitment()
 
     # ------------------------------------------------------------------ #
     # Views
@@ -220,7 +227,26 @@ class L2State:
         clone._price_memo = self._price_memo
         clone.mode = self.mode
         clone.charge_fees = self.charge_fees
+        clone._commitment = self.commitment
         return clone
+
+    @property
+    def commitment(self) -> StateCommitment:
+        """State-root memo of this lineage, shared by every ``copy()``.
+
+        A state that did not come through ``__init__`` or ``copy()`` (an
+        unpickled one, say) starts a lineage of its own here.
+        """
+        commitment = self.__dict__.get("_commitment")
+        if commitment is None:
+            commitment = self._commitment = StateCommitment()
+        return commitment
+
+    def __getstate__(self) -> dict:
+        # The memo is derived data and not shared across processes.
+        state = dict(self.__dict__)
+        state.pop("_commitment", None)
+        return state
 
     def fee_pool(self) -> float:
         """Fees accumulated so far (zero unless ``charge_fees``)."""

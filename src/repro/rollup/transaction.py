@@ -20,6 +20,12 @@ from ..crypto import hash_value
 from ..errors import RollupError
 
 
+#: Instance attributes holding memoised digests.  They are set straight in
+#: ``__dict__`` (the dataclass is frozen and they are not fields), so
+#: ``==``, ``hash``, ``repr`` and ``dataclasses.replace`` never see them.
+_MEMO_FIELDS = frozenset({"_tx_hash", "_arrival_identity"})
+
+
 class TxKind(enum.Enum):
     """The three ERC-721 transaction types of Section V-B."""
 
@@ -63,43 +69,57 @@ class NFTTransaction:
 
     @property
     def tx_hash(self) -> str:
-        """Stable digest identifying this transaction."""
-        return hash_value(
-            [
-                "tx",
-                self.kind.value,
-                self.sender,
-                self.recipient,
-                self.token_id,
-                self.base_fee,
-                self.priority_fee,
-                self.nonce,
-                self.submitted_at,
-                self.label,
-            ]
-        )
+        """Stable digest identifying this transaction (computed once)."""
+        cached = self.__dict__.get("_tx_hash")
+        if cached is None:
+            cached = self.__dict__["_tx_hash"] = hash_value(
+                [
+                    "tx",
+                    self.kind.value,
+                    self.sender,
+                    self.recipient,
+                    self.token_id,
+                    self.base_fee,
+                    self.priority_fee,
+                    self.nonce,
+                    self.submitted_at,
+                    self.label,
+                ]
+            )
+        return cached
 
     @property
     def arrival_identity(self) -> str:
-        """Digest of everything *but* the arrival stamp.
+        """Digest of everything *but* the arrival stamp (computed once).
 
         Two submissions of the same logical transaction share this
         identity regardless of when (or whether) a mempool stamped them,
         so admission-time duplicate detection survives re-stamping.
         """
-        return hash_value(
-            [
-                "tx-identity",
-                self.kind.value,
-                self.sender,
-                self.recipient,
-                self.token_id,
-                self.base_fee,
-                self.priority_fee,
-                self.nonce,
-                self.label,
-            ]
-        )
+        cached = self.__dict__.get("_arrival_identity")
+        if cached is None:
+            cached = self.__dict__["_arrival_identity"] = hash_value(
+                [
+                    "tx-identity",
+                    self.kind.value,
+                    self.sender,
+                    self.recipient,
+                    self.token_id,
+                    self.base_fee,
+                    self.priority_fee,
+                    self.nonce,
+                    self.label,
+                ]
+            )
+        return cached
+
+    def __getstate__(self) -> dict:
+        # The memoised digests are derived data; pickles carry only the
+        # fields, so they stay independent of which digests were read.
+        return {
+            name: value for name, value in self.__dict__.items()
+            if name not in _MEMO_FIELDS
+        }
 
     def involves(self, user: str) -> bool:
         """Whether ``user`` is the sender or the recipient."""

@@ -237,8 +237,9 @@ class BatchScanner:
                           f"estimated {estimate} evaluations exceeds budget "
                           f"{cfg.eval_budget_per_batch}", 0.0, 0)
 
-        key = self._cache_key(pre_state, txs)
+        key = None
         if self._store is not None:
+            key = self._cache_key(pre_state, txs)
             cached, found = self._store.fetch_object(key)
             if found:
                 order = tuple(int(i) for i in cached["order"])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.crypto import hash_bytes, hash_hex, hash_pair, hash_value
+from repro.crypto.hashing import _canonical, _canonical_recursive
 from repro.errors import CryptoError
 
 
@@ -89,3 +90,60 @@ class TestHashPair:
         digest = hash_pair(hash_value("x"), hash_value("y"))
         assert len(digest) == 64
         int(digest, 16)  # parses as hex
+
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10 ** 40), max_value=10 ** 40),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, float("nan"), 1e-15, -1e-15]),
+    st.text(),
+    st.sampled_from(["", "é", "☃", "\x00", "naïve 𝔘"]),
+    st.binary(max_size=8),
+)
+
+
+class TestFlatFastPath:
+    """``_canonical`` must emit exactly the recursive encoder's bytes."""
+
+    @given(st.lists(_scalars, max_size=12))
+    def test_flat_lists_match_recursive(self, values):
+        assert _canonical(values) == _canonical_recursive(values)
+        assert _canonical(tuple(values)) == _canonical_recursive(tuple(values))
+
+    @given(st.recursive(
+        _scalars,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.tuples(inner, inner)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=12,
+    ))
+    def test_nested_values_match_recursive(self, value):
+        assert _canonical(value) == _canonical_recursive(value)
+
+    @pytest.mark.parametrize("left, right", [
+        ([True], [1]),
+        ([False], [0]),
+        ([1], [1.0]),
+        ([0.0], [-0.0]),
+        (["1"], [1]),
+        ([None], [""]),
+        ([b"a"], ["a"]),
+        (["ab", "c"], ["a", "bc"]),
+        ([[1, 2]], [1, 2]),
+    ])
+    def test_type_tags_survive_the_fast_path(self, left, right):
+        assert _canonical(left) == _canonical_recursive(left)
+        assert _canonical(left) != _canonical(right)
+
+    def test_nan_encodes_stably(self):
+        nan = float("nan")
+        assert _canonical([nan]) == _canonical([float("nan")]) == b"L:15:F:nan"
+
+    def test_scalar_subclasses_fall_back(self):
+        class Tag(str):
+            pass
+
+        assert _canonical([Tag("x"), 1]) == _canonical_recursive(["x", 1])

@@ -1,9 +1,11 @@
 """Tests for Bedrock's private mempool."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import MempoolError, MempoolStalledError
 from repro.rollup import BedrockMempool, NFTTransaction, TxKind
+from repro.streaming import ShardedMempool
 
 
 def make_tx(sender, priority=0.0, nonce=0):
@@ -196,3 +198,62 @@ class TestRequeue:
         pool.submit(make_tx("high", priority=0.8))
         pool.submit(make_tx("mid", priority=0.4))
         assert [tx.sender for tx in pool.pending()] == ["high", "mid", "low"]
+
+
+_pool_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("submit"), st.integers(0, 4), st.integers(0, 3)),
+        st.tuples(st.just("collect"), st.integers(1, 6), st.just(0)),
+        st.tuples(st.just("drop"), st.integers(0, 50), st.just(0)),
+        st.tuples(st.just("requeue"), st.integers(0, 50), st.just(0)),
+    ),
+    max_size=60,
+)
+
+
+class TestPeekReadsTheHeap:
+    """``peek(k) == pending()[:k] == collect(k)`` under any history."""
+
+    @staticmethod
+    def _check(pool):
+        pending = pool.pending()
+        for k in (1, 2, 5, len(pending) + 1):
+            assert pool.peek(k) == pending[:k]
+
+    @pytest.mark.parametrize("make_pool", [
+        BedrockMempool,
+        lambda: ShardedMempool(shards=1),
+        lambda: ShardedMempool(shards=3),
+    ])
+    @settings(max_examples=60, deadline=None)
+    @given(ops=_pool_ops)
+    def test_random_histories(self, make_pool, ops):
+        pool = make_pool()
+        fees = (0.0, 0.1, 0.25, 0.25)
+        removed = []  # stamped transactions no longer pending
+        nonce = 0
+        for op, a, b in ops:
+            if op == "submit":
+                nonce += 1
+                pool.submit(make_tx(f"s{a}", priority=fees[b], nonce=nonce))
+            elif op == "collect" and len(pool):
+                expected = pool.peek(a)
+                collected = pool.collect(a)
+                assert collected == expected
+                removed.extend(collected)
+            elif op == "drop" and len(pool):
+                pending = pool.pending()
+                removed.append(pool.drop(pending[a % len(pending)].tx_hash))
+            elif op == "requeue" and removed:
+                pool.requeue([removed.pop(a % len(removed))])
+            self._check(pool)
+        drained = pool.collect(len(pool) + 1) if len(pool) else ()
+        assert len(pool) == 0
+        assert len(set(tx.tx_hash for tx in drained)) == len(drained)
+
+    def test_peek_skips_stale_entries(self, pool):
+        hashes = [pool.submit(make_tx("a", priority=0.1 * i, nonce=i))
+                  for i in range(8)]
+        for tx_hash in hashes[::2]:
+            pool.drop(tx_hash)
+        assert [tx.tx_hash for tx in pool.peek(10)] == hashes[1::2][::-1]

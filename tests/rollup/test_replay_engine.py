@@ -275,6 +275,15 @@ class TestCountingInventory:
         assert inv.total == 1
         assert dup.total == 5
 
+    def test_pickle_round_trip(self):
+        import pickle
+
+        inv = CountingInventory({"a": 2, "b": -3})
+        loaded = pickle.loads(pickle.dumps(inv))
+        assert type(loaded) is CountingInventory
+        assert loaded == inv
+        assert (loaded.total, loaded.negative_count) == (-1, 1)
+
 
 class TestStateCounterInvalidation:
     """Cached price / supply stay correct through every transition."""

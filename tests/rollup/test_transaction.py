@@ -1,9 +1,13 @@
 """Tests for NFT transactions and fee ordering."""
 
+import dataclasses
+import pickle
+
 import pytest
 
+from repro.crypto import hash_value
 from repro.errors import RollupError
-from repro.rollup import NFTTransaction, TxKind
+from repro.rollup import BedrockMempool, NFTTransaction, TxKind
 from repro.rollup.transaction import involvement_counts, sort_by_fee
 
 
@@ -84,3 +88,79 @@ class TestFeeOrdering:
         ]
         counts = involvement_counts(txs, ["a", "b", "c", "d"])
         assert counts == {"a": 2, "b": 1, "c": 1, "d": 0}
+
+
+def _fields_hash(tx):
+    return hash_value([
+        "tx", tx.kind.value, tx.sender, tx.recipient, tx.token_id,
+        tx.base_fee, tx.priority_fee, tx.nonce, tx.submitted_at, tx.label,
+    ])
+
+
+def _identity_hash(tx):
+    return hash_value([
+        "tx-identity", tx.kind.value, tx.sender, tx.recipient, tx.token_id,
+        tx.base_fee, tx.priority_fee, tx.nonce, tx.label,
+    ])
+
+
+class TestMemoisedIdentity:
+    @staticmethod
+    def _tx(**overrides):
+        fields = dict(kind=TxKind.TRANSFER, sender="a", recipient="b",
+                      priority_fee=0.25, nonce=3, submitted_at=7, label="x")
+        fields.update(overrides)
+        return NFTTransaction(**fields)
+
+    def test_digests_equal_a_fresh_hash_of_the_fields(self):
+        tx = self._tx()
+        for _ in range(2):
+            assert tx.tx_hash == _fields_hash(tx)
+            assert tx.arrival_identity == _identity_hash(tx)
+
+    def test_computed_once(self, monkeypatch):
+        import repro.crypto.hashing as hashing
+
+        tx = self._tx()
+        tx.tx_hash, tx.arrival_identity
+        calls = []
+        original = hashing.hash_hex
+        monkeypatch.setattr(
+            hashing, "hash_hex", lambda data: calls.append(1) or original(data)
+        )
+        tx.tx_hash, tx.arrival_identity
+        assert calls == []
+
+    def test_stays_a_plain_property(self):
+        assert type(NFTTransaction.__dict__["tx_hash"]) is property
+        assert type(NFTTransaction.__dict__["arrival_identity"]) is property
+
+    def test_pickle_round_trip(self):
+        tx = self._tx()
+        fresh_bytes = pickle.dumps(self._tx())
+        tx.tx_hash, tx.arrival_identity
+        # The memo does not travel: pickles carry only the fields.
+        assert pickle.dumps(tx) == fresh_bytes
+        loaded = pickle.loads(pickle.dumps(tx))
+        assert loaded == tx
+        assert loaded.tx_hash == tx.tx_hash == _fields_hash(loaded)
+        assert loaded.arrival_identity == tx.arrival_identity
+
+    def test_restamped_copies_do_not_inherit_the_memo(self):
+        tx = self._tx()
+        original_hash = tx.tx_hash
+        stamped = BedrockMempool()._stamp(tx)
+        assert stamped.submitted_at != tx.submitted_at
+        assert stamped.tx_hash == _fields_hash(stamped) != original_hash
+        assert stamped.arrival_identity == tx.arrival_identity
+        replaced = dataclasses.replace(tx, nonce=4)
+        assert replaced.tx_hash == _fields_hash(replaced) != original_hash
+
+    def test_equality_hash_and_repr_ignore_the_memo(self):
+        memoised, fresh = self._tx(), self._tx()
+        memoised.tx_hash, memoised.arrival_identity
+        assert memoised == fresh
+        assert hash(memoised) == hash(fresh)
+        assert repr(memoised) == repr(fresh)
+        assert dataclasses.astuple(memoised) == dataclasses.astuple(fresh)
+        assert memoised != self._tx(nonce=4)
