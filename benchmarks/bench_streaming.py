@@ -3,11 +3,12 @@
 Two measurements back the always-on serving story:
 
 * **Soak headline** — one lane of the full pipeline (zipf traffic ->
-  sharded mempool -> batch scanner -> rollup + invariant sweep) served
+  mempool -> batch scanner -> rollup + invariant sweep) served
   for a fixed number of block intervals.  Reports sustained transactions
   per second, the p50/p99 per-batch service latency and the scanner's
   opportunity hit rate, and requires zero invariant violations.
-* **Mempool drain** — the heap-backed ``collect`` against the seed's
+* **Mempool drain** — the heap-backed ``collect`` of the pool every
+  lane uses (``BedrockMempool``) against the seed's
   full-sort-per-collect behaviour on a 20k-transaction backlog.  The
   O(k log N) lazy-deletion heap is what makes the backlog regime
   (submission rate above collection rate) serveable at all.

@@ -305,7 +305,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         duration_batches=args.duration_batches,
         batch_size=args.batch_size,
         submit_per_batch=args.submit_per_batch,
-        shards=args.shards,
         seed=args.seed,
         scanner=ScannerConfig(max_swaps=args.max_swaps),
         cache_dir=cache_dir,
@@ -640,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream = subparsers.add_parser(
         "stream",
         help="bounded soak of the always-on streaming attack pipeline "
-             "(traffic -> sharded mempool -> scanner -> rollup lanes)",
+             "(traffic -> mempool -> scanner -> rollup lanes)",
     )
     stream.add_argument("--lanes", type=int, default=2,
                         help="independent rollup deployments to drive")
@@ -651,9 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--submit-per-batch", type=int, default=24,
                         help="transactions submitted per interval "
                              "(above --batch-size builds a backlog)")
-    stream.add_argument("--shards", type=int, default=4,
-                        help="mempool shards (throughput knob; drain "
-                             "order is identical for every value)")
     stream.add_argument("--max-swaps", type=int, default=12,
                         help="DQN rollout depth per scanned batch")
     stream.add_argument("--seed", type=int, default=0)

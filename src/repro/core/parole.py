@@ -11,14 +11,12 @@ degrades gracefully to honest.
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 logger = logging.getLogger(__name__)
 
 from ..config import AttackConfig
-from ..rollup.aggregator import Reorderer
 from ..rollup.ovm import OVM
 from ..rollup.state import L2State
 from ..rollup.transaction import NFTTransaction
@@ -147,27 +145,6 @@ class ParoleAttack:
         from ..strategies.parole_reorder import ParoleReorderStrategy
 
         return ParoleReorderStrategy(attack=self)
-
-    def as_reorderer(self) -> Reorderer:
-        """Deprecated adapter for the pre-PR-10 aggregator interface.
-
-        Use :meth:`as_strategy` instead; bare callables only support
-        permute-only actions.
-        """
-        warnings.warn(
-            "ParoleAttack.as_reorderer() is deprecated; use "
-            "ParoleAttack.as_strategy() with "
-            "AdversarialAggregator(strategy=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-
-        def reorder(
-            pre_state: L2State, collected: Sequence[NFTTransaction]
-        ) -> Sequence[NFTTransaction]:
-            return self.run(pre_state, collected).executed_sequence
-
-        return reorder
 
     def total_profit(self) -> float:
         """Cumulative summed IFU profit across all rounds run so far."""

@@ -124,11 +124,11 @@ class EncryptedMempoolDefense(Defense):
 
     Every transaction in the view (batch *and* pending backlog) is
     replaced by a stand-in that preserves fee metadata and arrival stamp
-    but hides sender, kind and recipient — the ``ShardedMempool``-backed
-    private-ordering model.  Content-conditioned strategies (sandwich,
-    backrun, PAROLE's IFU matcher) find nothing to target and degrade to
-    honest; blind spam still goes through, which is exactly the
-    leaderboard contrast the PAPERS.md threat models predict.
+    but hides sender, kind and recipient — the private-ordering model
+    over the node's ``BedrockMempool``.  Content-conditioned strategies
+    (sandwich, backrun, PAROLE's IFU matcher) find nothing to target and
+    degrade to honest; blind spam still goes through, which is exactly
+    the leaderboard contrast the PAPERS.md threat models predict.
     """
 
     name = "encrypted"

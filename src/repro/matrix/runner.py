@@ -1,8 +1,8 @@
 """The strategies × defenses × fault-plans matrix runner.
 
 One *cell* is a complete, isolated rollup deployment — a seeded
-:class:`~repro.streaming.traffic.TrafficGenerator`, a
-:class:`~repro.streaming.mempool.ShardedMempool`, one
+:class:`~repro.streaming.traffic.TrafficGenerator`, the node's
+:class:`~repro.rollup.mempool.BedrockMempool`, one
 :class:`~repro.matrix.defenses.DefendedAggregator` hosting the cell's
 strategy behind the cell's defense, an honest verifier — driven for a
 fixed number of rounds with the chaos harness's
@@ -42,7 +42,6 @@ from ..sim.events import EventQueue
 from ..store import ResultStore
 from ..strategies.base import HonestStrategy
 from ..strategies.registry import STRATEGIES, StrategyContext
-from ..streaming.mempool import ShardedMempool
 from ..streaming.traffic import StreamTrafficConfig, TrafficGenerator
 from ..telemetry import get_metrics, span
 from .defenses import DEFENSES, DefendedAggregator
@@ -111,7 +110,6 @@ class MatrixConfig:
     rounds: int = 3
     batch_size: int = 8
     submit_per_batch: int = 10
-    shards: int = 2
     num_users: int = 48
     num_ifus: int = 2
     max_supply: int = 256
@@ -129,7 +127,6 @@ class MatrixConfig:
         _require(self.batch_size >= 1, "batch_size must be positive")
         _require(self.submit_per_batch >= 1,
                  "submit_per_batch must be positive")
-        _require(self.shards >= 1, "shards must be at least 1")
         _require(self.num_users >= 2, "need at least two users")
         for name in self.strategies:
             _require(name in STRATEGIES, f"unknown strategy {name!r}")
@@ -279,7 +276,6 @@ def _honest_baseline_delta(
     if not addresses:
         return 0.0
     traffic = TrafficGenerator(config.traffic_config(), seed=config.seed)
-    mempool = ShardedMempool(shards=config.shards)
     cell_state = traffic.pre_state.copy()
     cell_state.mode = ExecutionMode.STRICT
     node = RollupNode(
@@ -288,14 +284,13 @@ def _honest_baseline_delta(
             aggregator_mempool_size=config.batch_size,
             challenge_period_blocks=2,
         ),
-        mempool=mempool,
     )
     node.add_aggregator(
         DefendedAggregator(
             _AGGREGATOR_ADDRESS,
             HonestStrategy(),
             DEFENSES.create(defense_name),
-            backlog=mempool.pending,
+            backlog=node.mempool.pending,
         )
     )
     node.add_verifier(Verifier("matrix-ver"))
@@ -332,7 +327,6 @@ def _run_cell(
         # leaderboard rows face identical victims.  The cell seed only
         # parameterizes the strategy (e.g. its DQN training).
         traffic = TrafficGenerator(config.traffic_config(), seed=config.seed)
-        mempool = ShardedMempool(shards=config.shards)
         # STRICT execution, exactly like the streaming lanes: fee-
         # priority collection can break generation order, and a strict
         # sequencer records infeasible transactions as skipped — which
@@ -345,7 +339,6 @@ def _run_cell(
                 aggregator_mempool_size=config.batch_size,
                 challenge_period_blocks=2,
             ),
-            mempool=mempool,
         )
         strategy = STRATEGIES.create(
             strategy_name,
@@ -358,7 +351,8 @@ def _run_cell(
         )
         defense = DEFENSES.create(defense_name)
         aggregator = DefendedAggregator(
-            _AGGREGATOR_ADDRESS, strategy, defense, backlog=mempool.pending
+            _AGGREGATOR_ADDRESS, strategy, defense,
+            backlog=node.mempool.pending,
         )
         node.add_aggregator(aggregator)
         node.add_verifier(Verifier("matrix-ver"))
@@ -371,7 +365,7 @@ def _run_cell(
         injector = FaultInjector(
             EventQueue(),
             ChaosTargets(
-                mempool=mempool,
+                mempool=node.mempool,
                 aggregators={aggregator.address: aggregator},
                 inject_commit_failures=node.inject_commit_failures,
             ),
@@ -466,7 +460,7 @@ def _run_cell(
             rounds=config.rounds,
             submitted=traffic.generated,
             included=checker.included_surviving_count(),
-            pending=len(mempool),
+            pending=len(node.mempool),
             batches=len(committed_orders),
             wealth_delta_eth=wealth_delta,
             baseline_wealth_delta_eth=baseline_delta,

@@ -8,25 +8,19 @@ their base and priority fees").  The adversarial aggregator hosts a
 :class:`~repro.strategies.base.MempoolView` of its collection, asks the
 strategy for a :class:`~repro.strategies.base.StrategyAction`, and
 verifies the action against its declared capabilities before executing.
-An invalid action degrades the round to the honest order.
-
-The pre-PR-10 interface — a bare permute-only *reorderer* callable —
-keeps working through a deprecation shim that wraps the callable in
+An invalid action degrades the round to the honest order.  A bare
+permute-only *reorderer* callable is hosted by wrapping it in
 :class:`~repro.strategies.base.ReordererStrategy`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from ..errors import ReproError
 from ..strategies.base import (
     BaseStrategy,
     MempoolView,
-    Reorderer,
-    ReordererStrategy,
     StrategyAction,
     validate_action,
 )
@@ -40,7 +34,6 @@ __all__ = [
     "AggregationResult",
     "Aggregator",
     "AdversarialAggregator",
-    "Reorderer",
 ]
 
 
@@ -124,39 +117,15 @@ class AdversarialAggregator(Aggregator):
         structurally compatible).  The shipped plug-ins live in
         :mod:`repro.strategies`; the PAROLE reference is
         :meth:`repro.core.parole.ParoleAttack.as_strategy`.
-    reorderer:
-        *Deprecated.*  A bare permute-only callable; wrapped in
-        :class:`~repro.strategies.base.ReordererStrategy` with a
-        :class:`DeprecationWarning`.
     """
 
     def __init__(
         self,
         address: str,
-        reorderer: Optional[Reorderer] = None,
+        strategy: BaseStrategy,
         ovm: Optional[OVM] = None,
-        *,
-        strategy: Optional[BaseStrategy] = None,
     ) -> None:
         super().__init__(address, ovm)
-        if strategy is not None and reorderer is not None:
-            raise ReproError(
-                "pass either strategy= or the legacy reorderer, not both"
-            )
-        if strategy is None:
-            if reorderer is None:
-                raise ReproError(
-                    "AdversarialAggregator requires a strategy "
-                    "(or, deprecated, a reorderer callable)"
-                )
-            warnings.warn(
-                "AdversarialAggregator(reorderer=...) is deprecated; pass "
-                "strategy=repro.strategies.ReordererStrategy(reorderer) or "
-                "a strategy plug-in instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            strategy = ReordererStrategy(reorderer)
         self.strategy = strategy
         #: Rounds whose executed order differed from the collected order.
         self.rounds_attacked = 0

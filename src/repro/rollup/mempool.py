@@ -114,17 +114,7 @@ class BedrockMempool:
 
     def _stamp(self, tx: NFTTransaction) -> NFTTransaction:
         self._arrival += 1
-        return NFTTransaction(
-            kind=tx.kind,
-            sender=tx.sender,
-            recipient=tx.recipient,
-            token_id=tx.token_id,
-            base_fee=tx.base_fee,
-            priority_fee=tx.priority_fee,
-            nonce=tx.nonce,
-            submitted_at=self._arrival,
-            label=tx.label,
-        )
+        return tx.restamped(self._arrival)
 
     def _admit(self, tx: NFTTransaction, identity: str) -> None:
         tx_hash = tx.tx_hash
@@ -195,23 +185,6 @@ class BedrockMempool:
         self._m_pending.set(len(self._pending))
         return tuple(selected)
 
-    def admit_stamped(self, tx: NFTTransaction) -> str:
-        """Admit a transaction that already carries its arrival stamp.
-
-        The requeue/demotion recovery paths and the sharded streaming
-        mempool (which stamps globally before routing) come through
-        here; ordinary submission must use :meth:`submit`, which always
-        re-stamps.  Returns the transaction hash.
-        """
-        identity = tx.arrival_identity
-        if identity in self._identity:
-            raise MempoolError(
-                f"transaction {tx.tx_hash[:12]}... is already pending"
-            )
-        self._admit(tx, identity)
-        self._m_pending.set(len(self._pending))
-        return tx.tx_hash
-
     def requeue(self, txs: Sequence[NFTTransaction]) -> None:
         """Return transactions to the pool (the defense's demotion path).
 
@@ -220,8 +193,14 @@ class BedrockMempool:
         any newer submission at the same fee level.
         """
         for tx in txs:
-            self.admit_stamped(tx)
+            identity = tx.arrival_identity
+            if identity in self._identity:
+                raise MempoolError(
+                    f"transaction {tx.tx_hash[:12]}... is already pending"
+                )
+            self._admit(tx, identity)
             self._m_requeued.inc()
+            self._m_pending.set(len(self._pending))
 
     def drop(self, tx_hash: str) -> NFTTransaction:
         """Remove one transaction by hash."""

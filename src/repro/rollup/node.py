@@ -108,14 +108,11 @@ class RollupNode:
         self,
         l2_state: L2State,
         config: Optional[RollupConfig] = None,
-        mempool: Optional[BedrockMempool] = None,
     ) -> None:
         self.config = config or RollupConfig()
         self.chain = L1Chain()
         self.contract = OptimisticRollupContract(self.chain, self.config)
-        #: Any object honouring the BedrockMempool interface works here —
-        #: the streaming pipeline injects a ShardedMempool.
-        self.mempool = mempool if mempool is not None else BedrockMempool()
+        self.mempool = BedrockMempool()
         self.l2_state = l2_state
         self.aggregators: List[Aggregator] = []
         self.verifiers: List[Verifier] = []

@@ -13,7 +13,7 @@ because Bedrock's mempool orders by their sum (Section IV-B).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 from ..crypto import hash_value
@@ -112,6 +112,19 @@ class NFTTransaction:
                 ]
             )
         return cached
+
+    def restamped(self, submitted_at: int) -> "NFTTransaction":
+        """A copy carrying a new arrival stamp.
+
+        The stamp-independent ``arrival_identity`` memo is carried over,
+        so a mempool re-stamping on admission hashes the identity once;
+        ``tx_hash`` covers the stamp and is recomputed for the copy.
+        """
+        copy = replace(self, submitted_at=submitted_at)
+        identity = self.__dict__.get("_arrival_identity")
+        if identity is not None:
+            copy.__dict__["_arrival_identity"] = identity
+        return copy
 
     def __getstate__(self) -> dict:
         # The memoised digests are derived data; pickles carry only the

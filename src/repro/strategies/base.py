@@ -37,8 +37,8 @@ from ..rollup.transaction import NFTTransaction
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..rollup.state import L2State
 
-#: Legacy signature of a permute-only reordering callable
-#: (pre-state, collected txs) -> new order.  Kept as the adapter input of
+#: Signature of a permute-only reordering callable
+#: (pre-state, collected txs) -> new order: the adapter input of
 #: :class:`ReordererStrategy`; new code implements :class:`Strategy`.
 Reorderer = Callable[
     ["L2State", Sequence[NFTTransaction]], Sequence[NFTTransaction]
@@ -234,12 +234,13 @@ class HonestStrategy(BaseStrategy):
 
 
 class ReordererStrategy(BaseStrategy):
-    """Adapter wrapping a legacy permute-only :data:`Reorderer` callable.
+    """Adapter wrapping a permute-only :data:`Reorderer` callable.
 
-    This is what the ``AdversarialAggregator(reorderer=...)`` deprecation
-    shim constructs: the callable's output is declared as a pure
-    permutation, so the generalized check enforces exactly the old
-    permute-only contract (drops or injections fall back to honest).
+    Host a bare callable with
+    ``AdversarialAggregator(address, ReordererStrategy(fn))``: the
+    callable's output is declared as a pure permutation, so the
+    generalized check enforces the permute-only contract (drops or
+    injections fall back to honest).
     """
 
     description = "legacy permute-only reorderer callable"

@@ -7,10 +7,6 @@ time; this package runs the PAROLE attack as a *service*:
   streaming transactions from zipf-distributed synthetic users against
   a tiered NFT collection (reusing the Figure 10 chain/tier churn
   parameters);
-* :mod:`repro.streaming.mempool` — :class:`ShardedMempool`, a
-  shard-per-core fee-priority mempool whose drain order is provably
-  identical to a single :class:`~repro.rollup.BedrockMempool` for any
-  shard count;
 * :mod:`repro.streaming.scanner` — :class:`BatchScanner`, the
   arbitrage-scanner service: opportunity pre-check, DQN-inference
   reordering inside a deterministic per-batch evaluation budget, and
@@ -24,7 +20,6 @@ policy, and ``benchmarks/bench_streaming.py`` for the sustained-tx/s,
 p99-latency and hit-rate gates.
 """
 
-from .mempool import ShardedMempool
 from .pipeline import LaneReport, StreamConfig, StreamReport, run_stream
 from .scanner import BatchScanner, ScanOutcome, ScannerConfig
 from .traffic import StreamTrafficConfig, TrafficGenerator
@@ -34,7 +29,6 @@ __all__ = [
     "LaneReport",
     "ScanOutcome",
     "ScannerConfig",
-    "ShardedMempool",
     "StreamConfig",
     "StreamReport",
     "StreamTrafficConfig",

@@ -1,8 +1,8 @@
 """The always-on streaming pipeline: lanes of rollup + scanner + traffic.
 
 One *lane* is a complete, independent rollup deployment — its own
-:class:`~repro.streaming.traffic.TrafficGenerator`, a
-:class:`~repro.streaming.mempool.ShardedMempool`, one adversarial
+:class:`~repro.streaming.traffic.TrafficGenerator`, the node's
+:class:`~repro.rollup.mempool.BedrockMempool`, one adversarial
 aggregator routed through a :class:`~repro.streaming.scanner.BatchScanner`
 and an honest verifier — driven for a fixed number of batch intervals
 with a full :class:`~repro.faults.InvariantChecker` sweep after every
@@ -37,7 +37,6 @@ from ..rollup.node import RollupNode
 from ..rollup.state import ExecutionMode
 from ..rollup.verifier import Verifier
 from ..store import ResultStore
-from .mempool import ShardedMempool
 from .scanner import BatchScanner, ScannerConfig
 from .traffic import StreamTrafficConfig, TrafficGenerator
 
@@ -52,10 +51,8 @@ class StreamConfig:
     #: Transactions one aggregator collects per interval.
     batch_size: int = 16
     #: Transactions the generator submits per interval; above
-    #: ``batch_size`` the mempool carries a growing backlog, which is
-    #: exactly the regime the sharded pool exists for.
+    #: ``batch_size`` the mempool carries a growing backlog.
     submit_per_batch: int = 24
-    shards: int = 4
     seed: int = 0
     traffic: StreamTrafficConfig = field(default_factory=StreamTrafficConfig)
     scanner: ScannerConfig = field(default_factory=ScannerConfig)
@@ -69,7 +66,6 @@ class StreamConfig:
         _require(self.batch_size >= 1, "batch_size must be positive")
         _require(self.submit_per_batch >= 1,
                  "submit_per_batch must be positive")
-        _require(self.shards >= 1, "shards must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -122,7 +118,6 @@ def _run_lane(config: StreamConfig, lane: int,
     """
     lane_seed = config.seed if seed is None else int(seed)
     traffic = TrafficGenerator(config.traffic, seed=lane_seed)
-    mempool = ShardedMempool(shards=config.shards)
     # The lane executes STRICT: fee-priority collection breaks generation
     # order across batch boundaries, so a transfer can surface before the
     # mint that funds its sender — BATCH netting would let it execute and
@@ -137,7 +132,6 @@ def _run_lane(config: StreamConfig, lane: int,
             aggregator_mempool_size=config.batch_size,
             challenge_period_blocks=2,
         ),
-        mempool=mempool,
     )
     store = None
     if config.cache_dir is not None:
@@ -176,7 +170,7 @@ def _run_lane(config: StreamConfig, lane: int,
         batches=config.duration_batches,
         submitted=traffic.generated,
         included=checker.included_surviving_count(),
-        pending=len(mempool),
+        pending=len(node.mempool),
         violations=tuple(violations),
         actions=scanner.action_counts(),
         profit_total=scanner.profit_total,

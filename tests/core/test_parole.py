@@ -68,18 +68,23 @@ class TestRun:
         assert attack.total_profit() >= 0
 
 
-class TestReordererAdapter:
-    def test_as_reorderer_returns_permutation(self, attack, case_workload):
-        reorder = attack.as_reorderer()
-        new_order = reorder(case_workload.pre_state, case_workload.transactions)
-        assert sorted(tx.tx_hash for tx in new_order) == sorted(
+class TestStrategyAdapter:
+    def test_as_strategy_returns_permutation(self, attack, case_workload):
+        from repro.strategies import MempoolView
+
+        action = attack.as_strategy().observe(
+            case_workload.pre_state,
+            MempoolView(transactions=tuple(case_workload.transactions)),
+        )
+        assert action.kinds == ("permute",)
+        assert sorted(tx.tx_hash for tx in action.sequence) == sorted(
             tx.tx_hash for tx in case_workload.transactions
         )
 
-    def test_reorderer_feeds_adversarial_aggregator(self, attack, case_workload):
+    def test_strategy_feeds_adversarial_aggregator(self, attack, case_workload):
         from repro.rollup import AdversarialAggregator
 
-        aggregator = AdversarialAggregator("evil", attack.as_reorderer())
+        aggregator = AdversarialAggregator("evil", attack.as_strategy())
         result = aggregator.process(
             case_workload.pre_state, case_workload.transactions
         )

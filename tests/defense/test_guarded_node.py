@@ -56,7 +56,7 @@ class TestGuardedRound:
             config=AttackConfig(ifu_accounts=workload.ifus, gentranseq=PROBE)
         )
         node.add_aggregator(
-            AdversarialAggregator("evil", attack.as_reorderer())
+            AdversarialAggregator("evil", attack.as_strategy())
         )
         for tx in workload.transactions:
             node.submit(tx)

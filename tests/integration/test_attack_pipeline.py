@@ -49,7 +49,7 @@ class TestEndToEndAttack:
         for user in workload.users:
             node.fund_and_deposit(user, 1.0)
         node.add_aggregator(
-            AdversarialAggregator("evil", attack.as_reorderer())
+            AdversarialAggregator("evil", attack.as_strategy())
         )
         node.add_verifier(Verifier("watcher"))
         for tx in workload.transactions:
@@ -111,7 +111,7 @@ class TestCaseStudyThroughPipeline:
         )
         for user in workload.users:
             node.fund_and_deposit(user, 1.0)
-        node.add_aggregator(AdversarialAggregator("evil", attack.as_reorderer()))
+        node.add_aggregator(AdversarialAggregator("evil", attack.as_strategy()))
         node.add_verifier(Verifier("watcher"))
         for tx in workload.transactions:
             node.submit(tx)

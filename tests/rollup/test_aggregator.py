@@ -2,6 +2,7 @@
 
 
 from repro.rollup import AdversarialAggregator, Aggregator
+from repro.strategies import ReordererStrategy
 
 
 class TestHonestAggregator:
@@ -25,7 +26,7 @@ class TestAdversarialAggregator:
         def reverse(pre_state, collected):
             return tuple(reversed(collected))
 
-        aggregator = AdversarialAggregator("evil", reverse)
+        aggregator = AdversarialAggregator("evil", ReordererStrategy(reverse))
         result = aggregator.process(
             case_workload.pre_state, case_workload.transactions
         )
@@ -34,7 +35,9 @@ class TestAdversarialAggregator:
         assert aggregator.rounds_attacked == 1
 
     def test_identity_reorderer_counts_no_attack(self, case_workload):
-        aggregator = AdversarialAggregator("evil", lambda s, c: tuple(c))
+        aggregator = AdversarialAggregator(
+            "evil", ReordererStrategy(lambda s, c: tuple(c))
+        )
         result = aggregator.process(
             case_workload.pre_state, case_workload.transactions
         )
@@ -45,7 +48,7 @@ class TestAdversarialAggregator:
         def drop_one(pre_state, collected):
             return tuple(collected)[1:]
 
-        aggregator = AdversarialAggregator("evil", drop_one)
+        aggregator = AdversarialAggregator("evil", ReordererStrategy(drop_one))
         result = aggregator.process(
             case_workload.pre_state, case_workload.transactions
         )
@@ -56,7 +59,7 @@ class TestAdversarialAggregator:
             extra = list(collected) + [collected[0]]
             return tuple(extra)
 
-        aggregator = AdversarialAggregator("evil", inject)
+        aggregator = AdversarialAggregator("evil", ReordererStrategy(inject))
         result = aggregator.process(
             case_workload.pre_state, case_workload.transactions
         )

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import MempoolError, MempoolStalledError
 from repro.rollup import BedrockMempool, NFTTransaction, TxKind
-from repro.streaming import ShardedMempool
 
 
 def make_tx(sender, priority=0.0, nonce=0):
@@ -73,6 +72,24 @@ class TestSubmission:
             pool.submit(
                 NFTTransaction(kind=TxKind.MINT, sender="a", submitted_at=77)
             )
+
+
+class TestDigestWork:
+    def test_submit_and_drain_cost_two_digests_per_tx(self, pool, monkeypatch):
+        import repro.crypto.hashing as hashing
+
+        calls = []
+        original = hashing.hash_hex
+        monkeypatch.setattr(
+            hashing, "hash_hex", lambda data: calls.append(1) or original(data)
+        )
+        for nonce in range(100):
+            pool.submit(make_tx(f"s{nonce % 7}", priority=0.01 * (nonce % 5),
+                                nonce=nonce))
+        assert len(pool.collect(100)) == 100
+        # One arrival identity (duplicate check, carried onto the stamped
+        # copy) and one tx hash of the stamped copy per transaction.
+        assert len(calls) == 2 * 100
 
 
 class TestCollection:
@@ -220,15 +237,10 @@ class TestPeekReadsTheHeap:
         for k in (1, 2, 5, len(pending) + 1):
             assert pool.peek(k) == pending[:k]
 
-    @pytest.mark.parametrize("make_pool", [
-        BedrockMempool,
-        lambda: ShardedMempool(shards=1),
-        lambda: ShardedMempool(shards=3),
-    ])
     @settings(max_examples=60, deadline=None)
     @given(ops=_pool_ops)
-    def test_random_histories(self, make_pool, ops):
-        pool = make_pool()
+    def test_random_histories(self, ops):
+        pool = BedrockMempool()
         fees = (0.0, 0.1, 0.25, 0.25)
         removed = []  # stamped transactions no longer pending
         nonce = 0

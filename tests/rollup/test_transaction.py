@@ -156,6 +156,17 @@ class TestMemoisedIdentity:
         replaced = dataclasses.replace(tx, nonce=4)
         assert replaced.tx_hash == _fields_hash(replaced) != original_hash
 
+    def test_restamped_carries_only_the_identity_memo(self):
+        tx = self._tx()
+        tx.tx_hash, tx.arrival_identity
+        stamped = tx.restamped(12)
+        assert stamped == dataclasses.replace(tx, submitted_at=12)
+        assert "_tx_hash" not in stamped.__dict__
+        assert stamped.__dict__["_arrival_identity"] == _identity_hash(stamped)
+        assert stamped.tx_hash == _fields_hash(stamped) != tx.tx_hash
+        # An unread identity is not conjured onto the copy either.
+        assert "_arrival_identity" not in self._tx().restamped(12).__dict__
+
     def test_equality_hash_and_repr_ignore_the_memo(self):
         memoised, fresh = self._tx(), self._tx()
         memoised.tx_hash, memoised.arrival_identity

@@ -1,13 +1,7 @@
-"""Deprecation shims: old reorderer entry points keep working, loudly."""
-
-import warnings
-
-import pytest
+"""Strategy adapters of the attack and the scanner."""
 
 from repro.config import AttackConfig, GenTranSeqConfig
 from repro.core import ParoleAttack
-from repro.errors import ReproError
-from repro.rollup import AdversarialAggregator
 from repro.streaming import BatchScanner, ScannerConfig
 
 
@@ -22,62 +16,7 @@ def _tiny_attack(case_workload):
     )
 
 
-class TestAggregatorShim:
-    def test_bare_reorderer_warns_and_works(self, case_workload):
-        with pytest.warns(DeprecationWarning, match="strategy"):
-            aggregator = AdversarialAggregator(
-                "evil", lambda state, txs: tuple(reversed(txs))
-            )
-        result = aggregator.process(
-            case_workload.pre_state, case_workload.transactions
-        )
-        assert result.executed_order == tuple(
-            reversed(case_workload.transactions)
-        )
-        assert aggregator.rounds_attacked == 1
-
-    def test_keyword_reorderer_also_warns(self, case_workload):
-        with pytest.warns(DeprecationWarning):
-            AdversarialAggregator(
-                "evil", reorderer=lambda state, txs: tuple(txs)
-            )
-
-    def test_strategy_keyword_does_not_warn(self):
-        from repro.strategies import HonestStrategy
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            AdversarialAggregator("evil", strategy=HonestStrategy())
-
-    def test_both_reorderer_and_strategy_rejected(self):
-        from repro.strategies import HonestStrategy
-
-        with pytest.raises(ReproError, match="not both"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                AdversarialAggregator(
-                    "evil",
-                    reorderer=lambda state, txs: tuple(txs),
-                    strategy=HonestStrategy(),
-                )
-
-    def test_neither_rejected(self):
-        with pytest.raises(ReproError):
-            AdversarialAggregator("evil")
-
-
 class TestParoleAttackShim:
-    def test_as_reorderer_warns(self, case_workload):
-        attack = _tiny_attack(case_workload)
-        with pytest.warns(DeprecationWarning, match="as_strategy"):
-            reorderer = attack.as_reorderer()
-        order = reorderer(
-            case_workload.pre_state, case_workload.transactions
-        )
-        assert sorted(tx.tx_hash for tx in order) == sorted(
-            tx.tx_hash for tx in case_workload.transactions
-        )
-
     def test_as_strategy_shares_bookkeeping(self, case_workload):
         attack = _tiny_attack(case_workload)
         strategy = attack.as_strategy()
@@ -94,33 +33,19 @@ class TestParoleAttackShim:
     def test_old_and_new_paths_produce_identical_orders(self, case_workload):
         from repro.strategies import MempoolView
 
-        old = _tiny_attack(case_workload)
-        new = _tiny_attack(case_workload)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old_order = tuple(
-                old.as_reorderer()(
-                    case_workload.pre_state, case_workload.transactions
-                )
-            )
-        new_order = new.as_strategy().observe(
+        direct = _tiny_attack(case_workload).run(
+            case_workload.pre_state, case_workload.transactions
+        ).executed_sequence
+        via_strategy = _tiny_attack(case_workload).as_strategy().observe(
             case_workload.pre_state,
             MempoolView(transactions=tuple(case_workload.transactions)),
         ).sequence
-        assert tuple(tx.tx_hash for tx in old_order) == tuple(
-            tx.tx_hash for tx in new_order
+        assert tuple(tx.tx_hash for tx in direct) == tuple(
+            tx.tx_hash for tx in via_strategy
         )
 
 
 class TestBatchScannerShim:
-    def test_as_reorderer_warns(self, case_workload):
-        scanner = BatchScanner(
-            case_workload.ifus,
-            config=ScannerConfig(train_episodes=1, train_steps=5),
-        )
-        with pytest.warns(DeprecationWarning, match="as_strategy"):
-            scanner.as_reorderer()
-
     def test_as_strategy_is_permute_only(self, case_workload):
         from repro.strategies import MempoolView
 

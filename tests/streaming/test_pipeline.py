@@ -19,7 +19,6 @@ SMALL = StreamConfig(
     duration_batches=6,
     batch_size=8,
     submit_per_batch=10,
-    shards=4,
     seed=0,
     traffic=StreamTrafficConfig(num_users=60, max_supply=512),
     scanner=ScannerConfig(max_swaps=6, train_episodes=1, train_steps=10),
@@ -76,14 +75,6 @@ class TestDeterminism:
             parallel = run_stream(SMALL, runner=runner)
         assert serial.deterministic_json() == parallel.deterministic_json()
 
-    def test_shard_count_never_changes_results(self):
-        two = dataclasses.replace(SMALL, shards=2)
-        seven = dataclasses.replace(SMALL, shards=7)
-        assert (
-            run_stream(two).deterministic_json()
-            == run_stream(seven).deterministic_json()
-        )
-
     def test_wall_clock_excluded_from_payload(self):
         payload = run_stream(SMALL).deterministic_payload()
         flat = str(payload)
@@ -110,5 +101,3 @@ class TestValidation:
             StreamConfig(lanes=0)
         with pytest.raises(ReproError):
             StreamConfig(duration_batches=0)
-        with pytest.raises(ReproError):
-            StreamConfig(shards=0)

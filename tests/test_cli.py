@@ -68,11 +68,10 @@ class TestExecution:
     def test_stream_parser(self):
         args = build_parser().parse_args(
             ["stream", "--duration-batches", "5", "--lanes", "1",
-             "--shards", "2", "--jobs", "2"]
+             "--jobs", "2"]
         )
         assert args.duration_batches == 5
         assert args.lanes == 1
-        assert args.shards == 2
         assert args.jobs == 2
 
     def test_stream_json_output(self, capsys):
